@@ -24,8 +24,8 @@ use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
 use pf_sim::disagg::{DisaggCluster, DisaggConfig, KvTransferSpec, TransferMode};
 use pf_sim::elastic::ElasticCluster;
 use pf_sim::{
-    EvictionMode, GpuSpec, ModelSpec, PrefillMode, QueueOrder, RequestOutcome, RouterConfig,
-    SimConfig, Simulation,
+    DisaggKvIndex, EvictionMode, GpuSpec, ModelSpec, PrefillMode, QueueOrder, RequestOutcome,
+    RouterConfig, SimConfig, Simulation,
 };
 use pf_workload::rng::seeded;
 use pf_workload::{datasets, PoissonArrivals};
@@ -306,6 +306,56 @@ fn fingerprints() -> Vec<(String, u64)> {
         h.f64(report.transfers.total_wait_secs);
         hash_outcomes(&mut h, &report.outcomes);
         pin("disagg-kv-overlap".into(), h);
+    }
+
+    // The exact-index disagg path: prefill members run block-granular
+    // prefix stores whose KV events feed the exact router index, and a
+    // tight default deadline under least-slack ordering makes the prefill
+    // purge peek those stores for its feasibility estimate. The prefix
+    // statistics join the fingerprint so store lookups and evictions are
+    // pinned too.
+    {
+        let spec = datasets::SharedSyspromptSpec::default();
+        let (requests, arrivals) =
+            datasets::shared_sysprompt_chat_timed(300, 64, &spec, 80.0, 2.0, 3.0);
+        let config = DisaggConfig::new(
+            base(64, 12_000)
+                .prefix_cache_blocks(0.4, 64)
+                .queue_order(QueueOrder::least_slack())
+                .request_deadline(SimDuration::from_millis(80))
+                .router(RouterConfig {
+                    disagg_kv_index: DisaggKvIndex::Exact,
+                    ..RouterConfig::default()
+                })
+                .build(),
+        )
+        .router(RouterPolicy::KvOverlap {
+            overlap_weight: 1.0,
+            temperature: 0.2,
+        });
+        let report = DisaggCluster::new(config, 1, 2)
+            .run(requests, arrivals)
+            .expect("disagg exact-index run");
+        let mut h = Fnv::new();
+        hash_goodput(&mut h, &report.goodput);
+        h.word(report.makespan.as_micros());
+        h.word(report.unserved as u64);
+        h.word(report.timed_out as u64);
+        h.word(report.transfers.transfers as u64);
+        h.word(report.transfers.total_bytes);
+        let p = &report.prefix_stats;
+        for w in [
+            p.lookups,
+            p.hits,
+            p.hit_tokens,
+            p.insertions,
+            p.evictions,
+            p.evicted_tokens,
+        ] {
+            h.word(w);
+        }
+        hash_outcomes(&mut h, &report.outcomes);
+        pin("disagg-kv-exact-slack".into(), h);
     }
 
     // Layer-streamed disaggregated transfers over a narrow shared link:

@@ -251,3 +251,78 @@ fn prelude_suffices_for_quickstart() {
     assert_eq!(report.completed, 16);
     assert!(report.goodput.total_output_tokens > 0);
 }
+
+/// Disaggregated serving with the exact KV index and slack-aware deadline
+/// drops: block-granular prefill stores publish KV events, the prefill
+/// purge peeks those stores, and a traced run reports exactly what the
+/// untraced run does. Every submitted request ends exactly once —
+/// completed, timed out, or unserved — and the trace carries one terminal
+/// event per request.
+#[test]
+fn disagg_exact_index_tracing_is_transparent_and_accounts_every_request() {
+    use pastfuture::sim::cluster::RouterPolicy;
+    use pastfuture::sim::disagg::{DisaggCluster, DisaggConfig};
+    use pastfuture::sim::{DisaggKvIndex, QueueOrder, RouterConfig};
+    use pf_obs::{RecordingSink, TraceEvent};
+
+    let n = 300;
+    let run = |sink: Option<&mut dyn pf_obs::TraceSink>| {
+        let spec = datasets::SharedSyspromptSpec::default();
+        let (requests, arrivals) =
+            datasets::shared_sysprompt_chat_timed(n, 64, &spec, 80.0, 2.0, 3.0);
+        let base = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
+            .scheduler(SchedulerConfig::past_future())
+            .capacity_override(12_000)
+            .record_series(false)
+            .seed(64)
+            .prefix_cache_blocks(0.4, 64)
+            .queue_order(QueueOrder::least_slack())
+            .request_deadline(SimDuration::from_millis(80))
+            .router(RouterConfig {
+                disagg_kv_index: DisaggKvIndex::Exact,
+                ..RouterConfig::default()
+            })
+            .build();
+        let config = DisaggConfig::new(base).router(RouterPolicy::KvOverlap {
+            overlap_weight: 1.0,
+            temperature: 0.2,
+        });
+        DisaggCluster::new(config, 1, 2)
+            .run_traced(requests, arrivals, sink)
+            .unwrap()
+    };
+    let untraced = run(None);
+    let mut sink = RecordingSink::new();
+    let traced = run(Some(&mut sink));
+    assert_eq!(format!("{untraced:?}"), format!("{traced:?}"));
+
+    assert_eq!(
+        traced.completed() + traced.timed_out + traced.unserved,
+        n,
+        "every submitted request is accounted for exactly once"
+    );
+    assert!(traced.timed_out > 0, "the deadline must bite");
+    assert!(
+        traced.prefix_stats.evictions > 0,
+        "the block store must evict"
+    );
+    assert!(
+        sink.events
+            .iter()
+            .any(|ev| matches!(ev, TraceEvent::KvRemoved { .. })),
+        "block evictions reach the trace"
+    );
+
+    let mut terminal = vec![0u32; n];
+    for ev in &sink.events {
+        if let TraceEvent::Finished { request, .. }
+        | TraceEvent::TimedOut { request, .. }
+        | TraceEvent::SlackDropped { request, .. } = *ev
+        {
+            terminal[request as usize] += 1;
+        }
+    }
+    let served = n - traced.unserved;
+    assert_eq!(terminal.iter().filter(|&&c| c == 1).count(), served);
+    assert!(terminal.iter().all(|&c| c <= 1), "no request ends twice");
+}
