@@ -266,6 +266,13 @@ pub(crate) fn pick_engine<'a, I>(
 where
     I: Iterator<Item = (usize, &'a Engine, f64)>,
 {
+    // The paper's §7 load signal plus queued deadline-slack pressure, so
+    // urgent queues look fuller and get room to drain (zero — a no-op —
+    // for deadline-free runs). Like the base load it divides by the GPU's
+    // speed: a fast member drains its urgent queue proportionally faster
+    // (matching the disagg router's treatment).
+    let urgent_load =
+        |e: &Engine| e.load_estimate() + router.slack_pressure_weight * e.queue_slack_pressure();
     match policy {
         RouterPolicy::RoundRobin => {
             pick_rotating_min(candidates.map(|(i, _, _)| (i, 0.0)), cursor, n)
@@ -287,16 +294,9 @@ where
             scratch.clear();
             scratch.extend(candidates.map(|(i, e, s)| RouteCandidate {
                 index: i,
-                // The paper's §7 signal doubles as the affinity
-                // tie-break and below-threshold fallback. Queued
-                // deadline-slack pressure is folded in so urgent
-                // queues look fuller and get room to drain (zero — a
-                // no-op — for deadline-free runs); like the base
-                // load it divides by the GPU's speed — a fast member
-                // drains its urgent queue proportionally faster
-                // (matching the disagg router's treatment).
-                load: (e.load_estimate() + router.slack_pressure_weight * e.queue_slack_pressure())
-                    / s,
+                // The load doubles as the affinity tie-break and the
+                // below-threshold fallback.
+                load: urgent_load(e) / s,
                 cached_match: e.cached_prefix_tokens(spec),
             }));
             pick_routed(policy, scratch, router.prefix_match_min_tokens, cursor, n)
@@ -312,9 +312,7 @@ where
                     ctx.rehash(spec);
                     scratch.extend(candidates.map(|(i, e, s)| RouteCandidate {
                         index: i,
-                        load: (e.load_estimate()
-                            + router.slack_pressure_weight * e.queue_slack_pressure())
-                            / s,
+                        load: urgent_load(e) / s,
                         // The *index's* view of the instance, not the
                         // instance's own cache: routing only sees blocks
                         // whose stored events have propagated.
@@ -332,14 +330,7 @@ where
                 // No index available (a driver that does not publish KV
                 // events): every overlap is 0, so route by pure load.
                 None => pick_rotating_min(
-                    candidates.map(|(i, e, s)| {
-                        (
-                            i,
-                            (e.load_estimate()
-                                + router.slack_pressure_weight * e.queue_slack_pressure())
-                                / s,
-                        )
-                    }),
+                    candidates.map(|(i, e, s)| (i, urgent_load(e) / s)),
                     cursor,
                     n,
                 ),
@@ -452,7 +443,6 @@ impl ClusterSimulation {
             ROUTE_RNG_STREAM,
         ));
         let mut chain_scratch: Vec<u64> = Vec::new();
-        let mut kv_event_buf: Vec<(SimTime, pf_kvcache::KvEvent)> = Vec::new();
         let mut engines: Vec<Engine> = self
             .configs
             .into_iter()
@@ -526,11 +516,7 @@ impl ClusterSimulation {
             }
             let tick = engines[i_min].tick_traced(&mut sink)?;
             if kv_routing {
-                kv_event_buf.clear();
-                engines[i_min].drain_kv_events(&mut kv_event_buf);
-                for &(at, ev) in &kv_event_buf {
-                    indexer.publish(i_min as u32, ev, at.as_micros());
-                }
+                engines[i_min].publish_kv_events(&mut indexer, i_min as u32);
             }
             match tick {
                 Tick::Worked => {}

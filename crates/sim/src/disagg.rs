@@ -134,10 +134,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use pf_autoscale::{AutoscaleConfig, AutoscalePlanner, PoolRole, ScalingDecision, StepLatency};
 use pf_core::{AdmissionIndex, BatchEntry};
-use pf_kvcache::{
-    block_hash, ApproxKvIndexer, BlockPrefixCache, KvEvent, KvIndexer, PrefixCache,
-    PrefixCacheStats, KV_ROOT_HASH,
-};
+use pf_kvcache::{block_hash, ApproxKvIndexer, KvEvent, KvIndexer, PrefixCacheStats, KV_ROOT_HASH};
 use pf_metrics::{GoodputReport, RequestTiming, SeriesGroup, SimDuration, SimTime, SlaSpec};
 use pf_obs::{GaugeKind, Pool, TraceEvent, TraceSink};
 use pf_workload::RequestSpec;
@@ -152,6 +149,7 @@ use crate::fleet::{
 };
 use crate::link::{LinkScheduler, StreamDone, StreamSpec};
 use crate::perf::PerfModel;
+use crate::prefix_store::PrefixStore;
 use crate::report::RequestOutcome;
 
 /// The KV-transfer cost model between the prefill and decode pools (see
@@ -666,74 +664,6 @@ impl Job {
     }
 }
 
-/// The prefill pool's prefix-reuse store: the legacy whole-prefix-id LRU
-/// or — under [`DisaggKvIndex::Exact`] — the block-granular chained-hash
-/// store, whose [`KvEvent`]s the run publishes into the exact router
-/// index (mirroring the colocated engine's store selection).
-#[derive(Debug)]
-enum PrefillStore {
-    Whole(PrefixCache),
-    Blocks(BlockPrefixCache),
-}
-
-impl PrefillStore {
-    fn used_tokens(&self) -> u64 {
-        match self {
-            PrefillStore::Whole(cache) => cache.used_tokens(),
-            PrefillStore::Blocks(store) => store.used_tokens(),
-        }
-    }
-
-    fn evict_down_to(&mut self, target_tokens: u64) {
-        match self {
-            PrefillStore::Whole(cache) => {
-                cache.evict_down_to(target_tokens);
-            }
-            PrefillStore::Blocks(store) => {
-                store.evict_down_to(target_tokens);
-            }
-        }
-    }
-
-    fn stats(&self) -> PrefixCacheStats {
-        match self {
-            PrefillStore::Whole(cache) => cache.stats(),
-            PrefillStore::Blocks(store) => store.stats(),
-        }
-    }
-
-    /// Cached overlap a request would enjoy right now, *without* touching
-    /// recency or statistics (router probe, slack-purge feasibility).
-    fn peek_match(&self, spec: &RequestSpec) -> u64 {
-        match self {
-            PrefillStore::Whole(cache) => match spec.prefix_id {
-                Some(id) => cache
-                    .peek(id.raw())
-                    .map_or(0, |cached| cached.min(u64::from(spec.prefix_len))),
-                None => 0,
-            },
-            PrefillStore::Blocks(store) => {
-                store.peek_run(spec.matchable_blocks(store.block_tokens() as u32))
-            }
-        }
-    }
-
-    /// Consumes an admission-time hit: the cached overlap in tokens,
-    /// refreshing recency and counting lookup/hit statistics.
-    fn lookup_match(&mut self, spec: &RequestSpec) -> u64 {
-        match self {
-            PrefillStore::Whole(cache) => match spec.prefix_id {
-                Some(id) => cache.lookup(id.raw(), u64::from(spec.prefix_len)),
-                None => 0,
-            },
-            PrefillStore::Blocks(store) => {
-                let block_tokens = store.block_tokens() as u32;
-                store.lookup_run(spec.matchable_blocks(block_tokens))
-            }
-        }
-    }
-}
-
 /// Run-side state of one layer-streamed transfer (a parallel array to the
 /// link scheduler's stream ids).
 #[derive(Debug)]
@@ -772,7 +702,7 @@ struct PrefillMember {
     /// Instance-local prefix store (None when disabled). Its occupancy
     /// shares the instance's KV capacity with `held_tokens` and is
     /// reclaimed first when a batch needs the room.
-    prefix: Option<PrefillStore>,
+    prefix: Option<PrefixStore>,
     busy: bool,
     completed: usize,
     /// Claimed by a decode scale-up: flips into the decode pool (after
@@ -815,23 +745,25 @@ impl PrefillMember {
         self.queued_tokens + self.held_tokens
     }
 
-    /// Prefix-cache occupancy in tokens (0 when disabled).
-    fn prefix_used(&self) -> u64 {
-        self.prefix.as_ref().map_or(0, PrefillStore::used_tokens)
+    /// The prefill pool's charging rule for its prefix store: evicts
+    /// cached prefixes (LRU first) until `held + reserve + cache ≤
+    /// capacity` — a request's KV always outranks a cached prefix.
+    fn fit_prefix(&mut self, capacity: u64, reserve: u64) {
+        let room = capacity.saturating_sub(self.held_tokens + reserve);
+        if let Some(store) = self.prefix.as_mut().filter(|s| s.used_tokens() > room) {
+            store.evict_down_to(room);
+        }
     }
 
-    /// Deadline-slack pressure of this instance's prompt queue: the sum
-    /// over queued jobs with an effective deadline of
-    /// `1 / (1 + slack_secs)` (the same urgency signal the colocated
-    /// engines expose to routers). Zero for deadline-free queues.
+    /// Deadline-slack pressure of this instance's prompt queue (the same
+    /// [`fleet::queue_slack_pressure`] signal the colocated engines expose
+    /// to routers). Zero for deadline-free queues.
     fn slack_pressure(&self, now: SimTime, default_deadline: Option<SimDuration>) -> f64 {
-        self.queue
+        let queued = self
+            .queue
             .iter()
-            .filter_map(|job| {
-                let deadline = job.spec.deadline.or(default_deadline)?;
-                Some(fleet::slack_urgency(now, job.timing.arrival(), deadline))
-            })
-            .sum()
+            .map(|job| (job.timing.arrival(), job.spec.deadline));
+        fleet::queue_slack_pressure(now, default_deadline, queued)
     }
 
     /// Cached overlap this instance would serve `spec` from, without
@@ -1236,13 +1168,11 @@ impl<'s> Run<'s> {
             queued_tokens: 0,
             batch: Vec::new(),
             held_tokens: 0,
+            // Block stores exactly when their events have a consumer: the
+            // exact router index.
             prefix: self.prefix_cache.map(|spec| {
-                let budget = spec.budget_tokens(self.capacity);
-                if self.exact_index.is_some() {
-                    PrefillStore::Blocks(BlockPrefixCache::new(budget, self.block_tokens))
-                } else {
-                    PrefillStore::Whole(PrefixCache::new(budget))
-                }
+                let block_tokens = self.exact_index.is_some().then_some(self.block_tokens);
+                PrefixStore::new(spec.budget_tokens(self.capacity), block_tokens)
             }),
             busy: false,
             completed: 0,
@@ -1336,8 +1266,9 @@ impl<'s> Run<'s> {
     /// queue's remaining-slack pressure (weighted by
     /// [`RouterConfig::slack_pressure_weight`] of capacity), so urgent
     /// queues attract less new traffic. KvOverlap scores candidates
-    /// against the pool's approximate TTL index (see
-    /// [`Run::approx_index`]) and records the chosen chain afterwards.
+    /// against the exact index when one is configured, else against the
+    /// pool's approximate TTL index (see [`Run::approx_index`]), which
+    /// records the chosen chain afterwards.
     fn route_prefill(&mut self, now: SimTime, spec: &RequestSpec) -> usize {
         let n = self.prefill.len();
         let slack_weighted = matches!(
@@ -1346,67 +1277,25 @@ impl<'s> Run<'s> {
         ) && (self.default_deadline.is_some() || self.queued_deadlines > 0);
         let default_deadline = self.default_deadline;
         let pressure_tokens = self.router_cfg.slack_pressure_weight * self.capacity as f64;
-        if let RouterPolicy::KvOverlap {
-            overlap_weight,
-            temperature,
-        } = self.router
-        {
+        let kv_overlap = matches!(self.router, RouterPolicy::KvOverlap { .. });
+        let now_us = now.as_micros();
+        if kv_overlap {
             self.chain_scratch.clear();
             let mut parent = KV_ROOT_HASH;
             for content in spec.matchable_blocks(self.block_tokens) {
                 parent = block_hash(parent, content);
                 self.chain_scratch.push(parent);
             }
-            let now_us = now.as_micros();
             if let Some(index) = self.exact_index.as_mut() {
                 index.advance(now_us);
             }
-            let chain = &self.chain_scratch;
-            let exact = self.exact_index.as_ref();
-            let approx = &self.approx_index;
-            let block_tokens = u64::from(self.block_tokens);
-            let candidates = &mut self.scratch_route;
-            candidates.clear();
-            candidates.extend(
-                self.prefill
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| m.core.is_live())
-                    .map(|(i, m)| {
-                        let mut load = m.load_signal() as f64;
-                        if slack_weighted {
-                            load += pressure_tokens * m.slack_pressure(now, default_deadline);
-                        }
-                        RouteCandidate {
-                            index: i,
-                            load: load / m.core.gpu.perf_scale,
-                            cached_match: match exact {
-                                Some(index) => index.overlap(i as u32, chain),
-                                None => {
-                                    approx.overlap_blocks(i as u32, chain, now_us) * block_tokens
-                                }
-                            },
-                        }
-                    }),
-            );
-            let prompt = f64::from(spec.input_len.max(1));
-            let target = pick_cost_logit(
-                candidates,
-                |c| c.load - overlap_weight * (c.cached_match as f64 / prompt),
-                temperature,
-                &mut self.route_cursor,
-                n,
-                &mut self.route_rng,
-            )
-            .expect("at least one live prefill instance");
-            if self.exact_index.is_none() {
-                self.approx_index
-                    .observe(target as u32, &self.chain_scratch, now_us);
-            }
-            return target;
         }
         // Disjoint borrows: candidates are rebuilt into the reusable
         // buffer from the prefill pool (routing runs per arrival).
+        let chain = &self.chain_scratch;
+        let exact = self.exact_index.as_ref();
+        let approx = &self.approx_index;
+        let block_tokens = u64::from(self.block_tokens);
         let candidates = &mut self.scratch_route;
         candidates.clear();
         candidates.extend(
@@ -1419,21 +1308,47 @@ impl<'s> Run<'s> {
                     if slack_weighted {
                         load += pressure_tokens * m.slack_pressure(now, default_deadline);
                     }
+                    let cached_match = match exact {
+                        _ if !kv_overlap => m.cached_match(spec),
+                        Some(index) => index.overlap(i as u32, chain),
+                        None => approx.overlap_blocks(i as u32, chain, now_us) * block_tokens,
+                    };
                     RouteCandidate {
                         index: i,
                         load: load / m.core.gpu.perf_scale,
-                        cached_match: m.cached_match(spec),
+                        cached_match,
                     }
                 }),
         );
-        pick_routed(
-            self.router,
+        let RouterPolicy::KvOverlap {
+            overlap_weight,
+            temperature,
+        } = self.router
+        else {
+            return pick_routed(
+                self.router,
+                candidates,
+                self.router_cfg.prefix_match_min_tokens,
+                &mut self.route_cursor,
+                n,
+            )
+            .expect("at least one live prefill instance");
+        };
+        let prompt = f64::from(spec.input_len.max(1));
+        let target = pick_cost_logit(
             candidates,
-            self.router_cfg.prefix_match_min_tokens,
+            |c| c.load - overlap_weight * (c.cached_match as f64 / prompt),
+            temperature,
             &mut self.route_cursor,
             n,
+            &mut self.route_rng,
         )
-        .expect("at least one live prefill instance")
+        .expect("at least one live prefill instance");
+        if self.exact_index.is_none() {
+            self.approx_index
+                .observe(target as u32, &self.chain_scratch, now_us);
+        }
+        target
     }
 
     fn on_arrival(&mut self, now: SimTime, spec: RequestSpec) {
@@ -1486,46 +1401,26 @@ impl<'s> Run<'s> {
         let mut expired = 0usize;
         let mut expired_own_deadline = 0usize;
         member.queue.retain(|job| {
-            let Some(deadline) = job.spec.deadline.or(default_deadline) else {
+            let spec = &job.spec;
+            let Some(deadline) = spec.deadline.or(default_deadline) else {
                 return true;
             };
-            let waited = now.saturating_since(job.timing.arrival());
             let min_feasible = if slack_aware {
-                let prompt = u64::from(job.spec.input_len);
-                let cached = prefix
-                    .as_ref()
-                    .map_or(0, |store| store.peek_match(&job.spec));
+                let prompt = u64::from(spec.input_len);
+                let cached = prefix.as_ref().map_or(0, |store| store.peek_match(spec));
                 gpu.scale_step(perf.prefill_step(prompt.saturating_sub(cached).max(1)))
             } else {
                 SimDuration::ZERO
             };
-            if waited + min_feasible >= deadline {
-                expired += 1;
-                if job.spec.deadline.is_some() {
-                    expired_own_deadline += 1;
-                }
-                // Past the deadline outright = guillotine timeout; still
-                // inside it = slack-aware early drop.
-                fleet::emit(
-                    sink,
-                    if waited >= deadline {
-                        TraceEvent::TimedOut {
-                            at: now,
-                            instance,
-                            request: job.spec.id.raw(),
-                        }
-                    } else {
-                        TraceEvent::SlackDropped {
-                            at: now,
-                            instance,
-                            request: job.spec.id.raw(),
-                        }
-                    },
-                );
-                false
-            } else {
-                true
+            let arrival = job.timing.arrival();
+            if !fleet::deadline_drop(sink, now, instance, spec, arrival, deadline, min_feasible) {
+                return true;
             }
+            expired += 1;
+            if spec.deadline.is_some() {
+                expired_own_deadline += 1;
+            }
+            false
         });
         if expired > 0 {
             member.queued_tokens = member
@@ -1625,16 +1520,7 @@ impl<'s> Run<'s> {
             if !member.batch.is_empty() && batch_computed_tokens + computed_probe > max_batch {
                 break;
             }
-            // The request's KV outranks cached prefixes: reclaim cache
-            // slots so the batch entry fits alongside the cache.
-            if member.held_tokens + member.prefix_used() + tokens > capacity {
-                let room = capacity - member.held_tokens - tokens;
-                member
-                    .prefix
-                    .as_mut()
-                    .expect("non-zero prefix occupancy implies a cache")
-                    .evict_down_to(room);
-            }
+            member.fit_prefix(capacity, tokens);
             let mut job = member.queue.remove(pos).expect("selected within bounds");
             if job.spec.deadline.is_some() {
                 batched_own_deadlines += 1;
@@ -1648,23 +1534,7 @@ impl<'s> Run<'s> {
             member.queued_tokens -= prompt;
             member.held_tokens += tokens;
             batch_computed_tokens += prompt.saturating_sub(job.cached_prefix).max(1);
-            let request = job.spec.id.raw();
-            fleet::emit(
-                sink,
-                TraceEvent::Admitted {
-                    at: now,
-                    instance,
-                    request,
-                },
-            );
-            fleet::emit(
-                sink,
-                TraceEvent::PrefillStart {
-                    at: now,
-                    instance,
-                    request,
-                },
-            );
+            fleet::emit_admission(sink, now, instance, job.spec.id.raw());
             member.batch.push(job);
         }
         self.queued_deadlines -= batched_own_deadlines;
@@ -1757,34 +1627,6 @@ impl<'s> Run<'s> {
         self.emit_link_utilization(now);
     }
 
-    /// Retains a prefilled prompt's KV in the instance's prefix cache:
-    /// the session's next turn routed here skips recomputing it. Keeps
-    /// the instance invariant `held + cache ≤ capacity`.
-    fn cache_prefill_prefix(member: &mut PrefillMember, capacity: u64, job: &Job) {
-        let held = member.held_tokens;
-        let Some(store) = member.prefix.as_mut() else {
-            return;
-        };
-        match store {
-            PrefillStore::Whole(cache) => {
-                let Some(id) = job.spec.prefix_id else {
-                    return;
-                };
-                cache.insert(id.raw(), u64::from(job.spec.input_len) + 1);
-            }
-            PrefillStore::Blocks(blocks) => {
-                if job.spec.prefix_id.is_none() && job.spec.system_prompt_id.is_none() {
-                    return;
-                }
-                let block_tokens = blocks.block_tokens() as u32;
-                blocks.insert_chain(job.spec.storable_blocks(block_tokens, job.generated));
-            }
-        }
-        if held + store.used_tokens() > capacity {
-            store.evict_down_to(capacity.saturating_sub(held));
-        }
-    }
-
     fn on_prefill_done(&mut self, now: SimTime, i: usize) {
         self.prefill[i].busy = false;
         let batch = std::mem::take(&mut self.prefill[i].batch);
@@ -1812,7 +1654,13 @@ impl<'s> Run<'s> {
                     request,
                 },
             );
-            Self::cache_prefill_prefix(&mut self.prefill[i], capacity, &job);
+            // Retain the prompt's KV: the session's next turn routed here
+            // skips recomputing it.
+            let member = &mut self.prefill[i];
+            if let Some(store) = member.prefix.as_mut() {
+                store.insert(&job.spec, job.generated, u64::MAX);
+            }
+            member.fit_prefix(capacity, 0);
             if let Some(planning) = self.planning.as_mut() {
                 let ttft = job.timing.ttft().expect("first token just recorded");
                 planning
@@ -1984,44 +1832,19 @@ impl<'s> Run<'s> {
     /// each is mirrored to the trace sink and published into the exact
     /// router index. No-op for whole-prefix stores.
     fn flush_kv_events(&mut self, i: usize, now: SimTime) {
-        let Run {
-            prefill,
-            kv_event_scratch,
-            exact_index,
-            sink,
-            ..
-        } = self;
-        let member = &mut prefill[i];
-        let Some(PrefillStore::Blocks(store)) = member.prefix.as_mut() else {
+        let member = &mut self.prefill[i];
+        let Some(store) = member.prefix.as_mut() else {
             return;
         };
-        if store.pending_events() == 0 {
-            return;
-        }
-        kv_event_scratch.clear();
-        store.drain_events(kv_event_scratch);
-        let instance = member.instance;
-        for &ev in kv_event_scratch.iter() {
-            fleet::emit(
-                sink,
-                match ev {
-                    KvEvent::Stored { block, .. } => TraceEvent::KvStored {
-                        at: now,
-                        instance,
-                        block,
-                    },
-                    KvEvent::Removed { block } => TraceEvent::KvRemoved {
-                        at: now,
-                        instance,
-                        block,
-                    },
-                },
-            );
-        }
-        if let Some(index) = exact_index.as_mut() {
-            let now_us = now.as_micros();
-            for &ev in kv_event_scratch.iter() {
-                index.publish(i as u32, ev, now_us);
+        let drained = store.drain_events(
+            now,
+            member.instance,
+            &mut self.sink,
+            &mut self.kv_event_scratch,
+        );
+        if let Some(index) = self.exact_index.as_mut() {
+            for &ev in drained {
+                index.publish(i as u32, ev, now.as_micros());
             }
         }
     }

@@ -286,8 +286,6 @@ struct Run {
     route_rng: RouteRng,
     /// Reusable chained-hash buffer of the routed request.
     chain_scratch: Vec<u64>,
-    /// Reusable per-tick event drain buffer.
-    kv_event_buf: Vec<(SimTime, pf_kvcache::KvEvent)>,
     /// Block size of the members' prefix stores (0 = no block store).
     block_tokens: u32,
     next_adjust: SimTime,
@@ -343,7 +341,6 @@ impl Run {
             kv_indexer,
             route_rng,
             chain_scratch: Vec::new(),
-            kv_event_buf: Vec::new(),
             block_tokens,
             next_adjust: SimTime::ZERO + interval,
             interval,
@@ -595,13 +592,9 @@ impl Run {
             }
             let tick = self.members[i_min].engine.tick_traced(sink)?;
             if self.kv_routing {
-                self.kv_event_buf.clear();
                 self.members[i_min]
                     .engine
-                    .drain_kv_events(&mut self.kv_event_buf);
-                for &(at, ev) in &self.kv_event_buf {
-                    self.kv_indexer.publish(i_min as u32, ev, at.as_micros());
-                }
+                    .publish_kv_events(&mut self.kv_indexer, i_min as u32);
             }
             match tick {
                 Tick::Worked => self.harvest_outcomes(i_min),

@@ -61,7 +61,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use pf_core::{
     BatchEntry, FutureMemoryEstimator, MemoryState, QueuedRequest, RunningRequest, Scheduler,
 };
-use pf_kvcache::{BlockPrefixCache, KvCacheManager, KvEvent, PrefixCache, PrefixCacheStats};
+use pf_kvcache::{KvCacheManager, KvEvent, KvIndexer};
 use pf_metrics::{GoodputReport, RequestTiming, SimDuration, SimTime, StepSeries};
 use pf_obs::{GaugeKind, TraceEvent, TraceSink};
 use pf_workload::{ClosedLoopClients, RequestSpec};
@@ -70,6 +70,7 @@ use crate::config::{BatchingMode, EvictionMode, PrefillMode, QueueOrder, SimConf
 use crate::error::SimError;
 use crate::fleet;
 use crate::perf::PerfModel;
+use crate::prefix_store::PrefixStore;
 use crate::report::{RequestOutcome, SimReport};
 use crate::slab::Slab;
 
@@ -237,74 +238,6 @@ impl Arrivals {
     }
 }
 
-/// The engine's prefix-reuse store: the legacy whole-prefix-id LRU, or —
-/// when [`crate::PrefixCacheConfig::block_tokens`] is set — the
-/// block-granular chained-hash store, whose matches are block *runs*
-/// (crossing conversations via shared system prompts), whose eviction is
-/// suffix-granular, and which emits [`KvEvent`]s for the global router
-/// index. Both charge their occupancy against the same KV pool under
-/// [`PREFIX_SENTINEL`].
-#[derive(Debug)]
-enum PrefixStore {
-    Whole(PrefixCache),
-    Blocks(BlockPrefixCache),
-}
-
-impl PrefixStore {
-    fn used_tokens(&self) -> u64 {
-        match self {
-            PrefixStore::Whole(cache) => cache.used_tokens(),
-            PrefixStore::Blocks(store) => store.used_tokens(),
-        }
-    }
-
-    fn evict_down_to(&mut self, target_tokens: u64) -> u64 {
-        match self {
-            PrefixStore::Whole(cache) => cache.evict_down_to(target_tokens),
-            PrefixStore::Blocks(store) => store.evict_down_to(target_tokens),
-        }
-    }
-
-    fn stats(&self) -> PrefixCacheStats {
-        match self {
-            PrefixStore::Whole(cache) => cache.stats(),
-            PrefixStore::Blocks(store) => store.stats(),
-        }
-    }
-
-    /// Cached overlap a request would enjoy right now, *without* touching
-    /// recency or statistics — the router's probe and the slack purge's
-    /// feasibility estimate.
-    fn peek_match(&self, spec: &RequestSpec) -> u64 {
-        match self {
-            PrefixStore::Whole(cache) => match spec.prefix_id {
-                Some(id) => cache
-                    .peek(id.raw())
-                    .map_or(0, |cached| cached.min(u64::from(spec.prefix_len))),
-                None => 0,
-            },
-            PrefixStore::Blocks(store) => {
-                store.peek_run(spec.matchable_blocks(store.block_tokens() as u32))
-            }
-        }
-    }
-
-    /// Consumes an admission-time hit: the cached overlap in tokens,
-    /// refreshing recency and counting lookup/hit statistics.
-    fn lookup_match(&mut self, spec: &RequestSpec) -> u64 {
-        match self {
-            PrefixStore::Whole(cache) => match spec.prefix_id {
-                Some(id) => cache.lookup(id.raw(), u64::from(spec.prefix_len)),
-                None => 0,
-            },
-            PrefixStore::Blocks(store) => {
-                let block_tokens = store.block_tokens() as u32;
-                store.lookup_run(spec.matchable_blocks(block_tokens))
-            }
-        }
-    }
-}
-
 /// The serving engine. Construct via [`crate::Simulation`].
 pub(crate) struct Engine {
     perf: PerfModel,
@@ -407,15 +340,9 @@ impl Engine {
         // history, mirroring a service whose statistics are already warm.
         let output_len_sum: u64 = config.history_warmup.iter().map(|&l| u64::from(l)).sum();
         let output_len_count = config.history_warmup.len() as u64;
-        let prefix = config.prefix_cache.map(|spec| {
-            let budget = spec.budget_tokens(capacity);
-            match spec.block_tokens {
-                Some(block_tokens) => {
-                    PrefixStore::Blocks(BlockPrefixCache::new(budget, block_tokens))
-                }
-                None => PrefixStore::Whole(PrefixCache::new(budget)),
-            }
-        });
+        let prefix = config
+            .prefix_cache
+            .map(|spec| PrefixStore::new(spec.budget_tokens(capacity), spec.block_tokens));
         Engine {
             perf,
             capacity,
@@ -553,51 +480,31 @@ impl Engine {
     }
 
     /// Starts accumulating the `(time, event)` KV-block event log for a
-    /// cluster driver to drain (see [`Engine::drain_kv_events`]). Off by
+    /// cluster driver to drain (see [`Engine::publish_kv_events`]). Off by
     /// default so standalone runs never grow an unconsumed log.
     pub(crate) fn enable_kv_event_log(&mut self) {
         self.log_kv_events = true;
     }
 
-    /// Moves the accumulated KV-block events (in emission order, stamped
-    /// with the engine clock at flush time) into `out`.
-    pub(crate) fn drain_kv_events(&mut self, out: &mut Vec<(SimTime, KvEvent)>) {
-        out.append(&mut self.kv_events);
+    /// Drains the accumulated KV-block events (in emission order, stamped
+    /// with the engine clock at flush time) into the global `indexer`,
+    /// under `as_instance`.
+    pub(crate) fn publish_kv_events(&mut self, indexer: &mut KvIndexer, as_instance: u32) {
+        for (at, ev) in self.kv_events.drain(..) {
+            indexer.publish(as_instance, ev, at.as_micros());
+        }
     }
 
-    /// Drains the block store's pending events, mirroring each to the
-    /// trace sink and — when enabled — the driver-facing log. No-op for
-    /// the whole-prefix store.
+    /// Drains the prefix store's pending KV events, mirroring each to the
+    /// trace sink and — when enabled — the driver-facing log.
     fn flush_kv_events(&mut self, sink: &mut Option<&mut dyn TraceSink>) {
-        let Some(PrefixStore::Blocks(store)) = self.prefix.as_mut() else {
+        let Some(store) = self.prefix.as_mut() else {
             return;
         };
-        if store.pending_events() == 0 {
-            return;
-        }
-        self.scratch_kv_events.clear();
-        store.drain_events(&mut self.scratch_kv_events);
         let at = self.now;
-        let instance = self.instance;
-        for &ev in &self.scratch_kv_events {
-            fleet::emit(
-                sink,
-                match ev {
-                    KvEvent::Stored { block, .. } => TraceEvent::KvStored {
-                        at,
-                        instance,
-                        block,
-                    },
-                    KvEvent::Removed { block } => TraceEvent::KvRemoved {
-                        at,
-                        instance,
-                        block,
-                    },
-                },
-            );
-            if self.log_kv_events {
-                self.kv_events.push((at, ev));
-            }
+        let drained = store.drain_events(at, self.instance, sink, &mut self.scratch_kv_events);
+        if self.log_kv_events {
+            self.kv_events.extend(drained.iter().map(|&ev| (at, ev)));
         }
     }
 
@@ -733,42 +640,18 @@ impl Engine {
     /// reclaimed before live work is refused or evicted: a cache entry is
     /// a bet on future savings, a request is work already accepted.
     fn reclaim_prefix_for_admission(&mut self, tokens: u64, reserve_total: u64) -> bool {
-        loop {
-            if self.kv.can_admit(tokens, reserve_total) {
-                return true;
-            }
-            let Some(cache) = self.prefix.as_mut() else {
-                return false;
-            };
-            let occ = cache.used_tokens();
-            if occ == 0 {
+        // One LRU entry at a time, then re-check.
+        while !self.kv.can_admit(tokens, reserve_total) {
+            if !self.reclaim_prefix_tokens(1) {
                 return false;
             }
-            // One LRU entry at a time, then re-check.
-            cache.evict_down_to(occ - 1);
-            self.sync_prefix_charge();
         }
-    }
-
-    /// Evicts exactly one LRU prefix entry, returning whether anything
-    /// was reclaimed (used when a scheduler whose admission gate counts
-    /// used memory refuses an empty batch).
-    fn reclaim_prefix_one(&mut self) -> bool {
-        let Some(cache) = self.prefix.as_mut() else {
-            return false;
-        };
-        let occ = cache.used_tokens();
-        if occ == 0 {
-            return false;
-        }
-        cache.evict_down_to(occ - 1);
-        self.sync_prefix_charge();
         true
     }
 
-    /// Frees at least `needed` cached-prefix tokens if the cache holds
-    /// any, returning whether anything was reclaimed (decode-step memory
-    /// pressure).
+    /// Frees at least `needed` cached-prefix tokens (one LRU entry for
+    /// `needed = 1`) if the cache holds any, returning whether anything
+    /// was reclaimed.
     fn reclaim_prefix_tokens(&mut self, needed: u64) -> bool {
         let Some(cache) = self.prefix.as_mut() else {
             return false;
@@ -782,17 +665,6 @@ impl Engine {
         true
     }
 
-    /// Consumes the admission-time prefix hit for `pending`: the cached
-    /// overlap in tokens, refreshing the entry's recency and counting
-    /// lookup/hit statistics.
-    fn prefix_lookup(&mut self, pending: &Pending) -> u64 {
-        let spec = &self.specs[pending.spec];
-        match self.prefix.as_mut() {
-            Some(store) => store.lookup_match(spec),
-            None => 0,
-        }
-    }
-
     /// Retains a finished request's conversation KV in the prefix store —
     /// under its declared prefix id (whole-prefix store) or as a chain of
     /// fixed-size blocks (block store) — so the session's next turn can
@@ -803,32 +675,12 @@ impl Engine {
             return;
         };
         let before = store.used_tokens();
-        match store {
-            PrefixStore::Whole(cache) => {
-                let Some(id) = spec.prefix_id else {
-                    return;
-                };
-                let conversation = u64::from(spec.input_len) + u64::from(generated);
-                // A conversation the pool cannot charge even after
-                // evicting every other entry would thrash: the insert
-                // flushes the LRU, then `sync_prefix_charge` evicts the
-                // new entry itself. Skip it — the cache keeps its
-                // still-useful entries instead.
-                if conversation > available + before {
-                    return;
-                }
-                cache.insert(id.raw(), conversation);
-            }
-            PrefixStore::Blocks(store) => {
-                if spec.prefix_id.is_none() && spec.system_prompt_id.is_none() {
-                    return;
-                }
-                let block_tokens = store.block_tokens() as u32;
-                store.insert_chain(spec.storable_blocks(block_tokens, generated));
-            }
-        }
-        let changed = store.used_tokens() != before;
-        if changed {
+        // A whole conversation the pool cannot charge even after evicting
+        // every other entry would thrash: the insert flushes the LRU, then
+        // `sync_prefix_charge` evicts the new entry itself. The store skips
+        // it, keeping its still-useful entries instead.
+        store.insert(spec, generated, available + before);
+        if store.used_tokens() != before {
             self.sync_prefix_charge();
         }
     }
@@ -910,7 +762,6 @@ impl Engine {
             let Some(deadline) = spec.deadline.or(default_deadline) else {
                 return true;
             };
-            let waited = now.saturating_since(p.timing.arrival());
             // The fastest possible path to a (first or resumed) token: a
             // dedicated prefill pass over everything this admission must
             // process, minus the current prefix-cache overlap (admission
@@ -924,33 +775,15 @@ impl Engine {
             } else {
                 SimDuration::ZERO
             };
-            if waited + min_feasible >= deadline {
-                removed.push(p.spec);
-                if spec.deadline.is_some() {
-                    expired_own_deadline += 1;
-                }
-                // Past the deadline outright = guillotine timeout; still
-                // inside it = slack-aware early drop.
-                fleet::emit(
-                    sink,
-                    if waited >= deadline {
-                        TraceEvent::TimedOut {
-                            at: now,
-                            instance,
-                            request: spec.id.raw(),
-                        }
-                    } else {
-                        TraceEvent::SlackDropped {
-                            at: now,
-                            instance,
-                            request: spec.id.raw(),
-                        }
-                    },
-                );
-                false
-            } else {
-                true
+            let arrival = p.timing.arrival();
+            if !fleet::deadline_drop(sink, now, instance, spec, arrival, deadline, min_feasible) {
+                return true;
             }
+            removed.push(p.spec);
+            if spec.deadline.is_some() {
+                expired_own_deadline += 1;
+            }
+            false
         });
         let expired = removed.len();
         if expired > 0 {
@@ -1021,9 +854,9 @@ impl Engine {
             .min();
     }
 
-    /// Router-facing urgency signal: the sum over queued requests with an
-    /// effective deadline of `1 / (1 + slack_secs)`. Zero for
-    /// deadline-free queues; grows as deadlines accumulate or tighten.
+    /// Router-facing urgency signal: [`fleet::queue_slack_pressure`] of
+    /// the queue. Zero for deadline-free queues; grows as deadlines
+    /// accumulate or tighten.
     /// [`crate::cluster::RouterPolicy::PrefixAffinity`]'s load tie-break
     /// adds this (weighted by [`crate::fleet::SLACK_PRESSURE_WEIGHT`]) so
     /// urgent queues receive less new traffic and get room to drain.
@@ -1040,15 +873,11 @@ impl Engine {
         if (at, epoch) == key {
             return cached;
         }
-        let now = self.now;
-        let pressure = self
+        let queued = self
             .queue
             .iter()
-            .filter_map(|p| {
-                let deadline = self.specs[p.spec].deadline.or(default_deadline)?;
-                Some(fleet::slack_urgency(now, p.timing.arrival(), deadline))
-            })
-            .sum();
+            .map(|p| (p.timing.arrival(), self.specs[p.spec].deadline));
+        let pressure = fleet::queue_slack_pressure(self.now, default_deadline, queued);
         self.pressure_cache.set((key.0, key.1, pressure));
         pressure
     }
@@ -1138,7 +967,7 @@ impl Engine {
                 // (Refusal with a live batch is ordinary backpressure and
                 // resolves as requests finish; draining the cache for it
                 // would forfeit hits for no admission gain.)
-                if self.running.is_empty() && self.reclaim_prefix_one() {
+                if self.running.is_empty() && self.reclaim_prefix_tokens(1) {
                     continue;
                 }
                 break;
@@ -1164,29 +993,15 @@ impl Engine {
                 // Swap-in restores the full KV wholesale — no recompute to
                 // skip; everything else (fresh admissions *and* recompute
                 // re-prefills) can reuse cached prefix tokens.
-                let cached = if pending.swapped {
-                    0
-                } else {
-                    self.prefix_lookup(&pending)
+                let cached = match self.prefix.as_mut() {
+                    Some(store) if !pending.swapped => {
+                        store.lookup_match(&self.specs[pending.spec])
+                    }
+                    _ => 0,
                 };
                 let prefill_tokens =
                     u64::from(self.specs[pending.spec].input_len) + u64::from(pending.generated);
-                fleet::emit(
-                    sink,
-                    TraceEvent::Admitted {
-                        at: self.now,
-                        instance: self.instance,
-                        request: req,
-                    },
-                );
-                fleet::emit(
-                    sink,
-                    TraceEvent::PrefillStart {
-                        at: self.now,
-                        instance: self.instance,
-                        request: req,
-                    },
-                );
+                fleet::emit_admission(sink, self.now, self.instance, req);
                 self.running.push(Live {
                     spec: pending.spec,
                     generated: pending.generated,
@@ -1685,22 +1500,7 @@ impl Engine {
             if sink.is_some() {
                 for pending in &batch {
                     let request = self.specs[pending.spec].id.raw();
-                    fleet::emit(
-                        sink,
-                        TraceEvent::Admitted {
-                            at: self.now,
-                            instance,
-                            request,
-                        },
-                    );
-                    fleet::emit(
-                        sink,
-                        TraceEvent::PrefillStart {
-                            at: self.now,
-                            instance,
-                            request,
-                        },
-                    );
+                    fleet::emit_admission(sink, self.now, instance, request);
                 }
             }
             let b = batch.len() as u64;

@@ -77,6 +77,33 @@ pub(crate) fn emit(sink: &mut Option<&mut dyn TraceSink>, ev: TraceEvent) {
     }
 }
 
+/// Emits a request's admission into a prefill pass: [`TraceEvent::Admitted`]
+/// then [`TraceEvent::PrefillStart`], both at `at` — the pair the engine
+/// and the disagg prefill pool emit for every admitted request.
+pub(crate) fn emit_admission(
+    sink: &mut Option<&mut dyn TraceSink>,
+    at: SimTime,
+    instance: u32,
+    request: u64,
+) {
+    emit(
+        sink,
+        TraceEvent::Admitted {
+            at,
+            instance,
+            request,
+        },
+    );
+    emit(
+        sink,
+        TraceEvent::PrefillStart {
+            at,
+            instance,
+            request,
+        },
+    );
+}
+
 /// Emits the pool-size transition `from → to` as a [`TraceEvent::ScaleUp`]
 /// or [`TraceEvent::ScaleDown`] (no event when the size is unchanged).
 pub(crate) fn emit_scale(
@@ -460,17 +487,65 @@ pub(crate) fn slack_rank_key(
     }
 }
 
-/// One queued request's contribution to the router-facing slack-pressure
-/// signal: `1 / (1 + slack_secs)` — 1.0 at zero remaining slack, decaying
-/// as the deadline recedes. Summed per queue and weighed by
-/// [`SLACK_PRESSURE_WEIGHT`].
-pub(crate) fn slack_urgency(
+/// The router-facing slack pressure of one queue: the sum over queued
+/// entries with an effective deadline (their own, else
+/// `default_deadline`) of `1 / (1 + slack_secs)` — 1.0 per entry at zero
+/// remaining slack, decaying as the deadline recedes, and zero for a
+/// deadline-free queue. `queued` yields each entry's `(arrival, own
+/// deadline)` in queue order. Routers weigh the sum by
+/// [`RouterConfig::slack_pressure_weight`].
+pub(crate) fn queue_slack_pressure(
     now: SimTime,
+    default_deadline: Option<pf_metrics::SimDuration>,
+    queued: impl Iterator<Item = (SimTime, Option<pf_metrics::SimDuration>)>,
+) -> f64 {
+    queued
+        .filter_map(|(arrival, deadline)| {
+            let slack = deadline.or(default_deadline)? - now.saturating_since(arrival);
+            Some(1.0 / (1.0 + slack.as_secs_f64()))
+        })
+        .sum()
+}
+
+/// The deadline rule of every queue in the crate: a queued request that
+/// arrived at `arrival` and whose wait plus `min_feasible` — the fastest
+/// possible path to its next token — reaches its effective `deadline`
+/// can no longer make it and must leave the queue. Returns whether to
+/// drop it, emitting [`TraceEvent::TimedOut`] when the deadline has
+/// already passed (the guillotine) or [`TraceEvent::SlackDropped`] when
+/// it has not (the slack-aware early drop). A zero `min_feasible` is the
+/// pure guillotine.
+pub(crate) fn deadline_drop(
+    sink: &mut Option<&mut dyn TraceSink>,
+    now: SimTime,
+    instance: u32,
+    spec: &pf_workload::RequestSpec,
     arrival: SimTime,
     deadline: pf_metrics::SimDuration,
-) -> f64 {
+    min_feasible: pf_metrics::SimDuration,
+) -> bool {
     let waited = now.saturating_since(arrival);
-    1.0 / (1.0 + (deadline - waited).as_secs_f64())
+    let dropped = waited + min_feasible >= deadline;
+    if dropped {
+        let (at, request) = (now, spec.id.raw());
+        emit(
+            sink,
+            if waited >= deadline {
+                TraceEvent::TimedOut {
+                    at,
+                    instance,
+                    request,
+                }
+            } else {
+                TraceEvent::SlackDropped {
+                    at,
+                    instance,
+                    request,
+                }
+            },
+        );
+    }
+    dropped
 }
 
 /// Fair-share weight of one KV stream on the shared transfer link,
@@ -503,7 +578,9 @@ pub enum DisaggKvIndex {
     /// The approximate TTL index fed by router-side observations (the
     /// default, bit-identical to the historical behavior): members emit
     /// no events, entries expire after
-    /// [`RouterConfig::approx_index_ttl`].
+    /// [`RouterConfig::approx_index_ttl`]. Prefill members run
+    /// whole-prefix stores under this index even when the base config
+    /// sets [`crate::PrefixCacheConfig::block_tokens`].
     #[default]
     Approx,
     /// An exact event-driven index: prefill members run block-granular
@@ -760,6 +837,36 @@ mod tests {
             core: MemberCore::spawn(SimTime::ZERO, SimDuration::from_secs(at_s), GpuType::big()),
             load: 0,
         }
+    }
+
+    /// Waited 100 ms: a 40 ms path still makes a 150 ms deadline, a 50 ms
+    /// one does not (early drop); a passed deadline is a timeout.
+    #[test]
+    fn deadline_drop_splits_timeouts_from_slack_drops() {
+        let spec = pf_workload::RequestSpec::new(7u64, 8, 1, 1);
+        let (ms, now, t0) = (
+            SimDuration::from_millis,
+            SimTime::from_millis(100),
+            SimTime::ZERO,
+        );
+        let mut sink = pf_obs::RecordingSink::new();
+        let mut verdict = |deadline, path| {
+            deadline_drop(
+                &mut Some(&mut sink),
+                now,
+                2,
+                &spec,
+                t0,
+                ms(deadline),
+                ms(path),
+            )
+        };
+        let verdicts = [verdict(150, 40), verdict(150, 50), verdict(100, 0)];
+        assert_eq!(verdicts, [false, true, true]);
+        let names: Vec<_> = sink.events.iter().map(TraceEvent::name).collect();
+        assert_eq!(names, ["slack-dropped", "timed-out"]);
+        let ids = |e: &TraceEvent| (e.request(), e.instance());
+        assert!(sink.events.iter().all(|e| ids(e) == (Some(7), Some(2))));
     }
 
     #[test]

@@ -50,6 +50,7 @@ mod hardware;
 pub mod link;
 mod model;
 mod perf;
+mod prefix_store;
 mod report;
 mod simulation;
 mod slab;

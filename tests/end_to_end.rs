@@ -266,6 +266,7 @@ fn disagg_exact_index_tracing_is_transparent_and_accounts_every_request() {
     use pf_obs::{RecordingSink, TraceEvent};
 
     let n = 300;
+    let deadline = SimDuration::from_millis(80);
     let run = |sink: Option<&mut dyn pf_obs::TraceSink>| {
         let spec = datasets::SharedSyspromptSpec::default();
         let (requests, arrivals) =
@@ -277,7 +278,7 @@ fn disagg_exact_index_tracing_is_transparent_and_accounts_every_request() {
             .seed(64)
             .prefix_cache_blocks(0.4, 64)
             .queue_order(QueueOrder::least_slack())
-            .request_deadline(SimDuration::from_millis(80))
+            .request_deadline(deadline)
             .router(RouterConfig {
                 disagg_kv_index: DisaggKvIndex::Exact,
                 ..RouterConfig::default()
@@ -313,15 +314,27 @@ fn disagg_exact_index_tracing_is_transparent_and_accounts_every_request() {
         "block evictions reach the trace"
     );
 
+    // One terminal event per served request; a drop past the deadline is
+    // a timeout, one still inside it a slack-aware early drop.
     let mut terminal = vec![0u32; n];
+    let mut enqueued = vec![SimTime::ZERO; n];
+    let mut drops = [0usize; 2];
     for ev in &sink.events {
-        if let TraceEvent::Finished { request, .. }
-        | TraceEvent::TimedOut { request, .. }
-        | TraceEvent::SlackDropped { request, .. } = *ev
-        {
-            terminal[request as usize] += 1;
+        match *ev {
+            TraceEvent::Enqueued { at, request, .. } => enqueued[request as usize] = at,
+            TraceEvent::Finished { request, .. } => terminal[request as usize] += 1,
+            TraceEvent::TimedOut { at, request, .. }
+            | TraceEvent::SlackDropped { at, request, .. } => {
+                terminal[request as usize] += 1;
+                let expired = at.saturating_since(enqueued[request as usize]) >= deadline;
+                assert_eq!(expired, matches!(ev, TraceEvent::TimedOut { .. }), "{ev:?}");
+                drops[usize::from(expired)] += 1;
+            }
+            _ => {}
         }
     }
+    assert_eq!(drops[0] + drops[1], traced.timed_out);
+    assert!(drops[0] > 0, "the slack-aware early drop must fire");
     let served = n - traced.unserved;
     assert_eq!(terminal.iter().filter(|&&c| c == 1).count(), served);
     assert!(terminal.iter().all(|&c| c <= 1), "no request ends twice");
