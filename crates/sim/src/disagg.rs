@@ -1750,7 +1750,7 @@ impl<'s> Run<'s> {
     /// generation, so the stale wake is dropped unprocessed and a fresh
     /// projection replaces it.
     fn schedule_link_wake(&mut self, now: SimTime) {
-        let Some(link) = self.link.as_ref() else {
+        let Some(link) = self.link.as_mut() else {
             return;
         };
         let Some(at_us) = link.next_event_us() else {

@@ -23,9 +23,12 @@
 //!   completion times are exact, not discretised.
 //! - `per_hop_overhead` is charged **once per stream**, appended after the
 //!   last byte lands (not per chunk — see the disagg module docs).
+//! - Each breakpoint costs O(open streams): the scheduler walks a dense
+//!   list of open stream ids, never the closed ones. Ids stay stable and
+//!   closed streams stay queryable by id.
 //!
 //! All state advances through deterministic `f64` arithmetic in a fixed
-//! order, so replays are bit-identical.
+//! order (ascending stream id), so replays are bit-identical.
 
 /// One stream's shape: how many bytes, over which production window, in
 /// how many chunks, at what fair-share weight.
@@ -62,7 +65,6 @@ pub struct StreamDone {
 struct Stream {
     spec: StreamSpec,
     delivered: f64,
-    open: bool,
     /// Chunk landing times (µs), recorded when enabled.
     landings: Vec<u64>,
 }
@@ -70,6 +72,11 @@ struct Stream {
 impl Stream {
     fn span_us(&self) -> u64 {
         self.spec.produce_end_us - self.spec.produce_start_us
+    }
+
+    /// Bytes this stream may have delivered by fluid time `t`.
+    fn limit_at(&self, t: f64) -> f64 {
+        self.eligible_at(t).min(self.spec.bytes as f64)
     }
 
     /// Bytes eligible for transfer at fluid time `t` (µs).
@@ -119,13 +126,105 @@ const EPS_BYTES: f64 = 1e-6;
 /// Cursor slack (µs) below which two fluid instants are the same.
 const EPS_US: f64 = 1e-9;
 
+/// The shape of the fluid trajectory from one cursor to its next
+/// breakpoint, as [`plan_step`] finds it.
+enum Step {
+    /// No open stream has eligible bytes left to send. Carries the
+    /// earliest future eligibility boundary, if production is still ahead.
+    Idle(Option<u64>),
+    /// Backlogged streams share the link by weight until the breakpoint.
+    Flow(Flow),
+}
+
+/// One piecewise-linear segment of the fluid trajectory: from `cursor`,
+/// backlogged streams share `bytes_per_us` in proportion to their weights
+/// (`weight_sum` in total) for `dt` µs.
+#[derive(Clone, Copy)]
+struct Flow {
+    cursor: f64,
+    weight_sum: f64,
+    dt: f64,
+    bytes_per_us: f64,
+}
+
+impl Flow {
+    /// `s`'s fair-share rate in bytes/µs while it is backlogged.
+    fn rate(&self, s: &Stream) -> f64 {
+        self.bytes_per_us * s.spec.weight / self.weight_sum
+    }
+
+    /// Advances `s` from `delivered` bytes across the segment: its rate
+    /// and new delivered total, or `None` when it is caught up with
+    /// production and sends nothing.
+    fn advance(&self, s: &Stream, delivered: f64) -> Option<(f64, f64)> {
+        let limit = s.limit_at(self.cursor);
+        if delivered < limit - EPS_BYTES {
+            let rate = self.rate(s);
+            Some((rate, (delivered + rate * self.dt).min(limit)))
+        } else {
+            None
+        }
+    }
+}
+
+/// The breakpoint arithmetic shared by the scheduler's advance and its
+/// projection. `open` yields each open stream with its delivered bytes in
+/// ascending id order (so the `f64` weight sum replays exactly); the step
+/// ends at the first drain, the first eligibility boundary, or `horizon`
+/// µs after `cursor`. Every stream entry walked is counted in `visits`.
+fn plan_step<'a, I>(open: I, cursor: f64, horizon: f64, bytes_per_us: f64, visits: &mut u64) -> Step
+where
+    I: Iterator<Item = (&'a Stream, f64)> + Clone,
+{
+    let mut weight_sum = 0.0;
+    for (s, delivered) in open.clone() {
+        *visits += 1;
+        if delivered < s.limit_at(cursor) - EPS_BYTES {
+            weight_sum += s.spec.weight;
+        }
+    }
+    if weight_sum <= 0.0 {
+        let next = open
+            .filter_map(|(s, _)| {
+                *visits += 1;
+                s.next_boundary(cursor)
+            })
+            .min();
+        return Step::Idle(next);
+    }
+    let mut flow = Flow {
+        cursor,
+        weight_sum,
+        dt: horizon,
+        bytes_per_us,
+    };
+    for (s, delivered) in open {
+        *visits += 1;
+        let limit = s.limit_at(cursor);
+        if delivered < limit - EPS_BYTES {
+            flow.dt = flow.dt.min((limit - delivered) / flow.rate(s));
+        }
+        if let Some(b) = s.next_boundary(cursor) {
+            flow.dt = flow.dt.min(b as f64 - cursor);
+        }
+    }
+    Step::Flow(flow)
+}
+
 /// The shared-link bandwidth scheduler (see the module docs).
 #[derive(Debug, Clone)]
 pub struct LinkScheduler {
     /// Link capacity in bytes per microsecond.
     bytes_per_us: f64,
     overhead_us: u64,
+    /// Every stream ever opened, indexed by id; closed ones stay readable.
     streams: Vec<Stream>,
+    /// Ids of the open streams, ascending. Every per-breakpoint loop walks
+    /// this list, so a step costs O(open streams), not O(streams opened).
+    active: Vec<usize>,
+    /// Projected delivered bytes, parallel to `active`, reused by
+    /// [`LinkScheduler::next_event_us`].
+    scratch: Vec<f64>,
     /// Fluid clock, fractional µs. Monotone.
     cursor: f64,
     /// Integral of time with at least one active stream, in µs.
@@ -135,6 +234,8 @@ pub struct LinkScheduler {
     generation: u64,
     record_chunks: bool,
     pending: Vec<StreamDone>,
+    /// Stream entries walked by the advance and the projection.
+    visits: u64,
 }
 
 impl LinkScheduler {
@@ -153,11 +254,14 @@ impl LinkScheduler {
             bytes_per_us: link_gbps * 1e3,
             overhead_us,
             streams: Vec::new(),
+            active: Vec::new(),
+            scratch: Vec::new(),
             cursor: 0.0,
             busy_us: 0.0,
             generation: 0,
             record_chunks: false,
             pending: Vec::new(),
+            visits: 0,
         }
     }
 
@@ -187,14 +291,16 @@ impl LinkScheduler {
             spec.weight
         );
         self.sync_to(now_us as f64);
+        let id = self.streams.len();
         self.streams.push(Stream {
             spec,
             delivered: 0.0,
-            open: true,
             landings: Vec::new(),
         });
+        // The new id is the largest, so `active` stays ascending.
+        self.active.push(id);
         self.generation += 1;
-        self.streams.len() - 1
+        id
     }
 
     /// Advances the fluid model to `now_us` and drains any streams that
@@ -215,64 +321,54 @@ impl LinkScheduler {
     }
 
     /// Projects the next stream-completion instant (`done_us`, overhead
-    /// included) without mutating the model, or `None` when idle.
-    pub fn next_event_us(&self) -> Option<u64> {
-        let open: Vec<usize> = (0..self.streams.len())
-            .filter(|&i| self.streams[i].open)
-            .collect();
-        if open.is_empty() {
+    /// included), or `None` when idle. The model itself does not advance;
+    /// `&mut self` only lends the projection a reusable scratch buffer.
+    pub fn next_event_us(&mut self) -> Option<u64> {
+        if self.active.is_empty() {
             return None;
         }
         let mut cursor = self.cursor;
-        let mut delivered: Vec<f64> = open.iter().map(|&i| self.streams[i].delivered).collect();
-        // Piecewise-linear projection: identical fluid algorithm to
-        // `sync_to`, run forward on scratch state until the first drain.
+        let LinkScheduler {
+            streams,
+            active,
+            scratch,
+            visits,
+            bytes_per_us,
+            overhead_us,
+            ..
+        } = self;
+        scratch.clear();
+        scratch.extend(active.iter().map(|&i| streams[i].delivered));
+        // Piecewise-linear projection: the same fluid steps as `sync_to`,
+        // run forward on the scratch copy until the first drain.
         loop {
-            let mut weight_sum = 0.0;
-            for (slot, &i) in open.iter().enumerate() {
-                let s = &self.streams[i];
-                let limit = s.eligible_at(cursor).min(s.spec.bytes as f64);
-                if delivered[slot] < limit - EPS_BYTES {
-                    weight_sum += s.spec.weight;
+            let open = active
+                .iter()
+                .zip(scratch.iter())
+                .map(|(&i, &d)| (&streams[i], d));
+            let flow = match plan_step(open, cursor, f64::INFINITY, *bytes_per_us, visits) {
+                Step::Idle(next) => {
+                    // Everyone is caught up with production: idle-jump to
+                    // the earliest future eligibility boundary.
+                    cursor = next? as f64;
+                    continue;
                 }
-            }
-            if weight_sum <= 0.0 {
-                // Everyone is caught up with production: idle-jump to the
-                // earliest future eligibility boundary.
-                let next = open
-                    .iter()
-                    .filter_map(|&i| self.streams[i].next_boundary(cursor))
-                    .min()?;
-                cursor = next as f64;
-                continue;
-            }
-            let mut dt = f64::INFINITY;
-            for (slot, &i) in open.iter().enumerate() {
-                let s = &self.streams[i];
-                let limit = s.eligible_at(cursor).min(s.spec.bytes as f64);
-                if delivered[slot] < limit - EPS_BYTES {
-                    let rate = self.bytes_per_us * s.spec.weight / weight_sum;
-                    dt = dt.min((limit - delivered[slot]) / rate);
-                }
-                if let Some(b) = s.next_boundary(cursor) {
-                    dt = dt.min(b as f64 - cursor);
-                }
-            }
-            debug_assert!(dt.is_finite() && dt > 0.0);
+                Step::Flow(flow) => flow,
+            };
+            debug_assert!(flow.dt.is_finite() && flow.dt > 0.0);
             let mut first_done: Option<u64> = None;
-            for (slot, &i) in open.iter().enumerate() {
-                let s = &self.streams[i];
-                let limit = s.eligible_at(cursor).min(s.spec.bytes as f64);
-                if delivered[slot] < limit - EPS_BYTES {
-                    let rate = self.bytes_per_us * s.spec.weight / weight_sum;
-                    delivered[slot] = (delivered[slot] + rate * dt).min(limit);
+            for (&i, delivered) in active.iter().zip(scratch.iter_mut()) {
+                *visits += 1;
+                let s = &streams[i];
+                if let Some((_, after)) = flow.advance(s, *delivered) {
+                    *delivered = after;
                 }
-                if delivered[slot] >= s.spec.bytes as f64 - EPS_BYTES {
-                    let end = (cursor + dt).ceil() as u64 + self.overhead_us;
+                if *delivered >= s.spec.bytes as f64 - EPS_BYTES {
+                    let end = (cursor + flow.dt).ceil() as u64 + *overhead_us;
                     first_done = Some(first_done.map_or(end, |e: u64| e.min(end)));
                 }
             }
-            cursor += dt;
+            cursor += flow.dt;
             if let Some(done) = first_done {
                 return Some(done);
             }
@@ -293,7 +389,14 @@ impl LinkScheduler {
     /// Number of streams currently open (transmitting or waiting on
     /// production).
     pub fn inflight(&self) -> usize {
-        self.streams.iter().filter(|s| s.open).count()
+        self.active.len()
+    }
+
+    /// Stream entries walked so far by the fluid advance and by
+    /// [`LinkScheduler::next_event_us`], one per open stream per pass. A
+    /// deterministic work count: it replays exactly, unlike wall time.
+    pub fn stream_visits(&self) -> u64 {
+        self.visits
     }
 
     /// Total time the link spent transmitting, in seconds.
@@ -313,63 +416,45 @@ impl LinkScheduler {
     /// breakpoint by breakpoint, closing streams whose last byte lands.
     fn sync_to(&mut self, target: f64) {
         while self.cursor < target - EPS_US {
-            let mut weight_sum = 0.0;
-            for s in &self.streams {
-                if !s.open {
-                    continue;
-                }
-                let limit = s.eligible_at(self.cursor).min(s.spec.bytes as f64);
-                if s.delivered < limit - EPS_BYTES {
-                    weight_sum += s.spec.weight;
-                }
-            }
-            if weight_sum <= 0.0 {
-                // Idle (or everyone throttled by production): jump to the
-                // next eligibility boundary or the target, whichever is
-                // sooner.
-                let next = self
-                    .streams
-                    .iter()
-                    .filter(|s| s.open)
-                    .filter_map(|s| s.next_boundary(self.cursor))
-                    .min()
-                    .map_or(target, |b| (b as f64).min(target));
-                self.cursor = next.max(self.cursor);
-                continue;
-            }
-            // Breakpoints: a stream drains, a chunk becomes eligible, or
-            // we reach the target.
-            let mut dt = target - self.cursor;
-            for s in &self.streams {
-                if !s.open {
-                    continue;
-                }
-                let limit = s.eligible_at(self.cursor).min(s.spec.bytes as f64);
-                if s.delivered < limit - EPS_BYTES {
-                    let rate = self.bytes_per_us * s.spec.weight / weight_sum;
-                    dt = dt.min((limit - s.delivered) / rate);
-                }
-                if let Some(b) = s.next_boundary(self.cursor) {
-                    dt = dt.min(b as f64 - self.cursor);
-                }
-            }
-            debug_assert!(dt.is_finite() && dt > 0.0, "fluid step stalled");
             let cursor = self.cursor;
-            let after = cursor + dt;
-            let record = self.record_chunks;
-            let bytes_per_us = self.bytes_per_us;
-            let overhead_us = self.overhead_us;
-            let mut done: Vec<StreamDone> = Vec::new();
-            for (id, s) in self.streams.iter_mut().enumerate() {
-                if !s.open {
+            let streams = &self.streams;
+            let open = self
+                .active
+                .iter()
+                .map(|&i| (&streams[i], streams[i].delivered));
+            let step = plan_step(
+                open,
+                cursor,
+                target - cursor,
+                self.bytes_per_us,
+                &mut self.visits,
+            );
+            let flow = match step {
+                Step::Idle(next) => {
+                    // Idle (or everyone throttled by production): jump to
+                    // the next eligibility boundary or the target,
+                    // whichever is sooner.
+                    let next = next.map_or(target, |b| (b as f64).min(target));
+                    self.cursor = next.max(cursor);
                     continue;
                 }
+                Step::Flow(flow) => flow,
+            };
+            debug_assert!(flow.dt.is_finite() && flow.dt > 0.0, "fluid step stalled");
+            let after = cursor + flow.dt;
+            let record = self.record_chunks;
+            let overhead_us = self.overhead_us;
+            let (streams, pending, visits) =
+                (&mut self.streams, &mut self.pending, &mut self.visits);
+            // Closing streams leave `active` in this same pass; `retain`
+            // keeps the survivors (and the completions) in id order.
+            self.active.retain(|&id| {
+                *visits += 1;
+                let s = &mut streams[id];
                 let bytes = s.spec.bytes as f64;
-                let limit = s.eligible_at(cursor).min(bytes);
-                if s.delivered < limit - EPS_BYTES {
-                    let rate = bytes_per_us * s.spec.weight / weight_sum;
+                if let Some((rate, delivered)) = flow.advance(s, s.delivered) {
                     let before = s.delivered;
-                    s.delivered = (before + rate * dt).min(limit);
+                    s.delivered = delivered;
                     if record {
                         // Record each chunk threshold crossed in this
                         // interval at its exact fluid crossing time.
@@ -384,18 +469,18 @@ impl LinkScheduler {
                         }
                     }
                 }
-                if s.delivered >= bytes - EPS_BYTES {
-                    s.open = false;
-                    let transmit_end_us = after.ceil() as u64;
-                    done.push(StreamDone {
-                        id,
-                        transmit_end_us,
-                        done_us: transmit_end_us + overhead_us,
-                    });
+                if s.delivered < bytes - EPS_BYTES {
+                    return true;
                 }
-            }
-            self.pending.append(&mut done);
-            self.busy_us += dt;
+                let transmit_end_us = after.ceil() as u64;
+                pending.push(StreamDone {
+                    id,
+                    transmit_end_us,
+                    done_us: transmit_end_us + overhead_us,
+                });
+                false
+            });
+            self.busy_us += flow.dt;
             self.cursor = after;
         }
         self.cursor = self.cursor.max(target);

@@ -3,6 +3,7 @@
 //! deterministic replay.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use pf_sim::link::{LinkScheduler, StreamDone, StreamSpec};
 
@@ -153,5 +154,105 @@ fn production_throttled_stream_finishes_with_the_pass() {
     for (k, &at) in link.chunk_landings(id).iter().enumerate() {
         let eligible = 1000 * (k as u64 + 1);
         assert!(at >= eligible && at <= eligible + 1, "chunk {k} at {at}");
+    }
+}
+
+/// The caller's view of the link during an interleaved run: completions
+/// in drain order, and each drained stream's delivered bytes and chunk
+/// landings as read when it drained.
+#[derive(Debug, Default, PartialEq)]
+struct Books {
+    drained: Vec<StreamDone>,
+    closed: Vec<Option<(f64, Vec<u64>)>>,
+}
+
+impl Books {
+    /// Takes in the completions in `buf`, then checks the link against
+    /// the books: `inflight()` is opened minus drained, no id drains
+    /// twice, and every closed stream still reads its exact bytes and
+    /// landings.
+    fn settle(
+        &mut self,
+        link: &LinkScheduler,
+        buf: &mut Vec<StreamDone>,
+        streams: &[(u64, u64, u64, u32, f64)],
+    ) -> Result<(), TestCaseError> {
+        for done in buf.drain(..) {
+            prop_assert!(
+                self.closed[done.id].is_none(),
+                "stream {} drained twice",
+                done.id
+            );
+            let (bytes, _, _, chunks, _) = streams[done.id];
+            let delivered = link.delivered_bytes(done.id);
+            prop_assert!((delivered - bytes as f64).abs() < 1e-3);
+            prop_assert_eq!(link.chunk_landings(done.id).len(), chunks as usize);
+            self.closed[done.id] = Some((delivered, link.chunk_landings(done.id).to_vec()));
+            self.drained.push(done);
+        }
+        prop_assert_eq!(link.inflight(), self.closed.len() - self.drained.len());
+        for (id, entry) in self.closed.iter().enumerate() {
+            if let Some((delivered, landings)) = entry {
+                prop_assert_eq!(link.delivered_bytes(id), *delivered);
+                prop_assert_eq!(link.chunk_landings(id), landings.as_slice());
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Opens streams the way the disagg run does — drain the completions due
+/// by each stream's start, then `start_stream` — settling the books after
+/// every step. Returns the books and the scheduler's work count.
+fn run_interleaved(
+    gbps: f64,
+    overhead_us: u64,
+    streams: &[(u64, u64, u64, u32, f64)],
+) -> Result<(Books, u64), TestCaseError> {
+    let mut link = LinkScheduler::new(gbps, overhead_us).record_chunks(true);
+    let mut books = Books::default();
+    let mut buf = Vec::new();
+    let mut start = 0u64;
+    for &(bytes, gap, span, chunks, weight) in streams {
+        start += gap;
+        while let Some(next) = link.next_event_us().filter(|&t| t <= start) {
+            link.advance(next, &mut buf);
+            books.settle(&link, &mut buf, streams)?;
+        }
+        link.advance(start, &mut buf);
+        books.settle(&link, &mut buf, streams)?;
+        let id = link.start_stream(start, spec(bytes, start, span, chunks, weight));
+        prop_assert_eq!(id, books.closed.len());
+        books.closed.push(None);
+        books.settle(&link, &mut buf, streams)?;
+    }
+    while let Some(next) = link.next_event_us() {
+        link.advance(next, &mut buf);
+        books.settle(&link, &mut buf, streams)?;
+    }
+    prop_assert_eq!(books.drained.len(), streams.len());
+    prop_assert!(books.closed.iter().all(Option::is_some));
+    Ok((books, link.stream_visits()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Joins interleaved with completions, as in a disagg run: the open
+    /// list shrinks and grows across many breakpoints while every id
+    /// drains exactly once, closed streams stay readable and exact, and a
+    /// second run replays the completions, landings and work count.
+    #[test]
+    fn joins_after_completions_keep_books_exact_and_replay(
+        gbps in 1.0f64..100.0,
+        overhead_us in 0u64..500,
+        streams in proptest::collection::vec(
+            (1_000u64..5_000_000, 0u64..80_000, 0u64..300_000, 1u32..48, 1.0f64..2.0),
+            1..24,
+        ),
+    ) {
+        let first = run_interleaved(gbps, overhead_us, &streams)?;
+        let second = run_interleaved(gbps, overhead_us, &streams)?;
+        prop_assert_eq!(first, second);
     }
 }
